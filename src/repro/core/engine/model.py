@@ -9,11 +9,15 @@ pickles keep working.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.checker.distribution import group_distributions
 from repro.core.checker.policies import NO_RETRY, RetryPolicy
 from repro.core.schemes.base import SchemeConfig
+from repro.errors import CheckerError
+from repro.sim.memmodel import MEMORY_MODELS
+from repro.sim.scheduler import SCHEDULERS
 
 #: Session outcomes, from best to worst.
 OUTCOME_DETERMINISTIC = "deterministic"
@@ -114,7 +118,11 @@ class CheckConfig:
     The instance is immutable all the way down: ``__post_init__``
     freezes ``schemes`` into a :class:`FrozenDict` and coerces
     ``ignores`` to a tuple, so a config captured by a running session
-    cannot be changed under it.
+    cannot be changed under it.  It also rejects what would otherwise
+    fail deep inside the first run — ``schemes`` that is not a mapping
+    of :class:`SchemeConfig` values, or a scheduler or memory-model
+    name its registry does not know — with a
+    :class:`~repro.errors.CheckerError` (the CLI's usage exit code 3).
     """
 
     runs: int = 30
@@ -147,6 +155,21 @@ class CheckConfig:
     executor: str = "auto"
 
     def __post_init__(self):
+        if not isinstance(self.schemes, Mapping):
+            raise CheckerError(
+                f"schemes must map variant names to SchemeConfig, got "
+                f"{type(self.schemes).__name__} {self.schemes!r}")
+        for name, scheme in self.schemes.items():
+            if not isinstance(scheme, SchemeConfig):
+                raise CheckerError(
+                    f"schemes[{name!r}] must be a SchemeConfig, got "
+                    f"{type(scheme).__name__} {scheme!r}")
+        for registry, name in ((SCHEDULERS, self.scheduler),
+                               (MEMORY_MODELS, self.memory_model)):
+            try:
+                registry.get(name)
+            except registry.error as exc:
+                raise CheckerError(str(exc)) from None
         object.__setattr__(self, "schemes", FrozenDict(self.schemes))
         object.__setattr__(self, "ignores", tuple(self.ignores))
 

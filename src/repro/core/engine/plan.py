@@ -16,7 +16,6 @@ from repro.core.checker.policies import NO_RETRY, SessionBudget
 from repro.core.control.controller import InstantCheckControl
 from repro.core.engine.model import CheckConfig
 from repro.errors import CheckerError
-from repro.sim.memmodel import MEMORY_MODELS
 from repro.sim.program import Program, Runner
 from repro.sim.scheduler import SCHEDULERS, make_scheduler
 
@@ -60,7 +59,6 @@ class SessionPlan:
             raise CheckerError(
                 f"judge_variant {config.judge_variant!r} is not produced by "
                 f"this session; configured variants: {config.variant_names()}")
-        MEMORY_MODELS.get(config.memory_model)  # fail early on a typo
         if cls.scheduler_is_systematic(config):
             # A systematic scheduler's exploration frontier lives in the
             # one scheduler instance the serial executor reuses across

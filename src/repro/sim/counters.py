@@ -74,10 +74,15 @@ class Counters:
     #: Event counts used by the overhead model, independent of costs.
     events: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # Costs are linear in units and the model is frozen: one table.
+        self._unit_cost = {c: self.cost_model.cost(c) for c in
+                           NATIVE_CATEGORIES + OVERHEAD_CATEGORIES}
+
     def charge(self, category: str, units: int = 1) -> None:
         """Charge the instruction cost of one operation."""
-        cost = self.cost_model.cost(category, units)
-        self.instructions[category] = self.instructions.get(category, 0) + cost
+        self.instructions[category] = (self.instructions.get(category, 0)
+                                       + self._unit_cost[category] * units)
 
     def note(self, event: str, n: int = 1) -> None:
         """Record an event count (e.g. hashed stores, checkpoint sizes)."""

@@ -194,6 +194,9 @@ class Machine:
         random core — exercising TH save/restore on every such move.
         """
         previous = self._placement.get(tid)
+        if (self.migrate_prob <= 0.0 and previous is not None
+                and self.cores[previous].current_tid == tid):
+            return previous  # already running where it stays
         core_id = self.core_of(tid)
         if (self.migrate_prob > 0.0
                 and self._migrate_rng.random() < self.migrate_prob):

@@ -26,7 +26,7 @@ from types import SimpleNamespace
 from repro.errors import (BudgetError, DeadlockError, ProgramError,
                           SchedulerError)
 from repro.sim.allocator import Allocator
-from repro.sim.context import Ctx, Op
+from repro.sim.context import SWITCH_POINTS, Ctx, Op
 from repro.sim.counters import CostModel, Counters
 from repro.sim.machine import Machine
 from repro.sim.memmodel import make_memory_model
@@ -370,72 +370,105 @@ class Runner:
     # -- trampoline -------------------------------------------------------------------
 
     def _run_phase(self, threads: dict) -> None:
+        """Run one phase's threads to completion, one step per iteration;
+        what cannot change within a phase is resolved before the loop
+        (docs/performance.md, "The step loop")."""
         for thread in threads.values():
             self._advance(thread, None)  # prime to the first op
         self._threads = threads
-        buffering = self.machine.memory_model is not None
-        observing = getattr(self.scheduler, "wants_observations", False)
-        current: int | None = None
-        at_switch = True
+        order = [threads[tid] for tid in sorted(threads)]
+        machine = self.machine
+        buffering = machine.memory_model is not None
+        scheduler = self.scheduler
+        pick = scheduler.pick
+        observe = (getattr(scheduler, "wants_observations", False)
+                   and scheduler.observe_step)
+        every_op_switches = scheduler.granularity == "access"
+        schedule_thread = machine.schedule_thread
+        execute = (self._exec_hooked
+                   if buffering or self.tracer is not None else self._exec)
+        ready = _Status.READY
+        max_steps = self.max_steps
+        deadline = self.deadline
+        drains = current = None
+        at_switch = rescan = True
         while True:
-            runnable = sorted(
-                t.tid for t in threads.values() if self._runnable(t))
-            if not runnable:
-                pending_drains = buffering and self.machine.drain_choices()
-                if all(t.status is _Status.DONE for t in threads.values()):
-                    if not pending_drains:
-                        break
-                    # Leftover buffered stores still retire one at a time
-                    # through the scheduler, so drain orderings at the
-                    # phase tail stay visible to systematic exploration.
-                elif not pending_drains:
-                    states = {t.tid: (t.status.value, t.waiting_on) for t in
-                              threads.values() if t.status is not _Status.DONE}
-                    raise DeadlockError(f"deadlock; blocked threads: {states}")
             if buffering:
-                # Drain pseudo-tids are negative, so splicing them in
-                # front keeps the runnable list sorted.
-                runnable = self.machine.drain_choices() + runnable
-            tid = self.scheduler.pick(runnable, current, at_switch)
+                drains = machine.drain_choices()
+                runnable = [t.tid for t in order if self._runnable(t)]
+            elif rescan:
+                # A ready thread can run unless its pending op is a
+                # lock someone holds.
+                runnable = [t.tid for t in order if t.status is ready and (
+                    t.deliver or ((op := t.pending) is not None and (
+                        op.kind != "lock" or not op.args[0].held)))]
+            if not runnable and not drains:
+                blocked = {t.tid: (t.status.value, t.waiting_on)
+                           for t in order if t.status is not _Status.DONE}
+                if blocked:
+                    raise DeadlockError(f"deadlock; blocked threads: {blocked}")
+                break
+            if drains:
+                # Negative drain pseudo-tids in front keep the list
+                # sorted.  Drains left after every thread is done still
+                # retire one scheduler step at a time, so systematic
+                # exploration sees their orderings.
+                runnable = drains + runnable
+            tid = pick(runnable, current, at_switch)
             if tid not in runnable:
                 raise SchedulerError(f"scheduler picked non-runnable tid {tid}")
             self._sched_picks += 1
             if tid < 0:
                 # A store-buffer drain: one buffered store retires.  The
                 # current thread (if any) stays at its switch point.
-                owner, address = self.machine.execute_drain(tid)
-                if observing:
-                    self.scheduler.observe_step(tid, Op("drain",
-                                                        (owner, address)))
+                owner, address = machine.execute_drain(tid)
+                if observe:
+                    observe(tid, Op("drain", (owner, address)))
                 at_switch = True
             else:
                 if current is not None and tid != current:
                     self._sched_switches += 1
                 thread = threads[tid]
-                self.machine.schedule_thread(tid)
-                op = self._step(thread)
-                if observing:
-                    self.scheduler.observe_step(tid, op)
-                at_switch = self.scheduler.is_switch_point(
-                    op.kind if op is not None else None)
+                schedule_thread(tid)
+                if thread.deliver:
+                    # A wakeup: resume the thread with its delivered value.
+                    op = None
+                    value, thread.deliver, thread.resume_value = (
+                        thread.resume_value, False, None)
+                else:
+                    op = thread.pending
+                    thread.pending = None
+                    value = execute(thread, op)
+                if thread.status is ready and not thread.deliver:
+                    self._advance(thread, value)
+                if observe:
+                    observe(tid, op)
+                synced = op is not None and op.kind in SWITCH_POINTS
+                at_switch = every_op_switches or op is None or synced
+                # Only sync ops change other threads' readiness; else
+                # only this thread's, if it finished or waits on a lock.
+                rescan = (synced or thread.status is not ready
+                          or thread.pending.kind == "lock")
                 current = tid
-            self.step_count += 1
-            if self.step_count > self.max_steps:
+            steps = self.step_count = self.step_count + 1
+            if steps > max_steps:
                 raise SchedulerError(
-                    f"run exceeded {self.max_steps} steps (livelock?)")
-            if (self.deadline is not None
-                    and (self.step_count & DEADLINE_CHECK_MASK) == 0
-                    and time.monotonic() >= self.deadline):
+                    f"run exceeded {max_steps} steps (livelock?)")
+            if (deadline is not None and (steps & DEADLINE_CHECK_MASK) == 0
+                    and time.monotonic() >= deadline):
                 raise BudgetError(
                     f"run exceeded its wall-clock deadline after "
-                    f"{self.step_count} steps")
+                    f"{steps} steps")
         if buffering:
             # Phase boundary (thread exit / join): what remains buffered
             # retires in canonical FIFO order before the next phase —
             # or the end checkpoint — can observe memory.
-            self.machine.drain_all()
+            machine.drain_all()
 
     def _runnable(self, thread: _Thread) -> bool:
+        """Readiness under a buffering memory model: the step loop's SC
+        rule, plus fence ops stall until the buffers they wait on drain
+        (through scheduler-picked drain steps)."""
         if thread.status is not _Status.READY:
             return False
         if thread.deliver:
@@ -444,33 +477,14 @@ class Runner:
         if op is None:
             return False
         model = self.machine.memory_model
-        if model is not None:
-            # Fence semantics: stall until the relevant buffers have
-            # drained (via scheduler-picked drain steps), rather than
-            # retiring the stores as a side effect of this op.
-            if op.kind in FENCE_OPS:
-                if model.pending_for(thread.tid):
-                    return False
-            elif op.kind in ("free", "checkpoint") and model.pending_count():
+        if op.kind in FENCE_OPS:
+            if model.pending_for(thread.tid):
                 return False
+        elif op.kind in ("free", "checkpoint") and model.pending_count():
+            return False
         if op.kind == "lock":
             return not op.args[0].held
         return True
-
-    def _step(self, thread: _Thread) -> Op | None:
-        """Advance one thread by one scheduling step; returns the op it
-        executed (None for a wakeup-delivery step)."""
-        if thread.deliver:
-            value, thread.deliver, thread.resume_value = (
-                thread.resume_value, False, None)
-            self._advance(thread, value)
-            return None
-        op = thread.pending
-        thread.pending = None
-        result = self._exec(thread, op)
-        if thread.status is _Status.READY and not thread.deliver:
-            self._advance(thread, result)
-        return op
 
     def _advance(self, thread: _Thread, value) -> None:
         try:
@@ -488,9 +502,11 @@ class Runner:
 
     # -- op execution -------------------------------------------------------------------
 
-    def _exec(self, thread: _Thread, op: Op):
+    def _exec_hooked(self, thread: _Thread, op: Op):
+        """:meth:`_exec` behind the fence and the tracer callback; the
+        step loop selects it for a phase only when a memory model
+        buffers stores or a tracer is attached."""
         kind = op.kind
-        args = op.args
         tid = thread.tid
         if self.machine.memory_model is not None:
             # ``_runnable`` stalls fence ops until the buffers are
@@ -504,8 +520,13 @@ class Runner:
                 self.fence_drained = tuple(self.machine.drain_all())
             # "checkpoint" drains all inside _take_checkpoint.
         if self.tracer is not None:
-            self.tracer.on_op(tid, kind, args)
+            self.tracer.on_op(tid, kind, op.args)
+        return self._exec(thread, op)
 
+    def _exec(self, thread: _Thread, op: Op):
+        kind = op.kind
+        args = op.args
+        tid = thread.tid
         if kind == "load":
             self.counters.note("loads")
             return self.machine.load(tid, args[0])

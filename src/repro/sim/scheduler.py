@@ -26,6 +26,7 @@ import random
 
 from repro.core.registry import Registry
 from repro.errors import SchedulerError
+from repro.sim.context import SWITCH_POINTS
 
 GRANULARITIES = ("sync", "access")
 
@@ -49,12 +50,10 @@ class Scheduler:
         """Reset internal state for a new run with the given seed."""
 
     def is_switch_point(self, op_kind: str | None) -> bool:
-        """May the scheduler switch away after an op of this kind?"""
-        from repro.sim.context import SWITCH_POINTS
-
-        if self.granularity == "access":
-            return True
-        return op_kind is None or op_kind in SWITCH_POINTS
+        """May the scheduler switch away after an op of this kind?
+        (The step loop applies this rule inline.)"""
+        return (self.granularity == "access" or op_kind is None
+                or op_kind in SWITCH_POINTS)
 
     def pick(self, runnable: list, current: int | None, at_switch_point: bool) -> int:
         """Choose the next tid from *runnable* (non-empty, sorted).

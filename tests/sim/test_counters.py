@@ -57,3 +57,28 @@ def test_snapshot_is_copy():
     snap = counters.snapshot()
     counters.charge("load")
     assert snap["instructions"]["load"] < counters.instructions["load"]
+
+
+def test_charge_table_matches_cost_model_for_every_category():
+    """``charge`` looks costs up in a table built once from the frozen
+    model; with every field off its default, each category's total must
+    still equal ``CostModel.cost`` — the Figure 6 instruction counts
+    depend on it."""
+    import dataclasses
+
+    model = CostModel(load=5, store=7, sync=11, alloc=13, libcall=17,
+                      output_per_word=19, zero_fill_per_word=23,
+                      ignore_unhash_per_word=29)
+    assert all(getattr(model, f.name) != f.default
+               for f in dataclasses.fields(CostModel))
+    counters = Counters(model)
+    units = {"load": 1, "store": 2, "compute": 31, "sync": 3, "alloc": 4,
+             "libcall": 5, "output": 6, "zero_fill": 8, "ignore_unhash": 9}
+    assert set(units) == set(NATIVE_CATEGORIES + OVERHEAD_CATEGORIES)
+    for category, n in units.items():
+        counters.charge(category, n)
+        counters.charge(category)
+    assert counters.instructions == {
+        category: model.cost(category, n) + model.cost(category)
+        for category, n in units.items()}
+    assert counters.instructions["compute"] == 32  # units are instructions
