@@ -1,6 +1,6 @@
 """Measure the batch hash kernels: backend-vs-backend speedups.
 
-Three measurements, written to ``benchmarks/results/kernels.json``:
+Four measurements, written to ``benchmarks/results/kernels.json``:
 
 * ``traversal`` — one traversal-checkpoint sweep
   (:func:`repro.core.hashing.state_hash.traverse_state_hash`) over a
@@ -11,6 +11,12 @@ Three measurements, written to ``benchmarks/results/kernels.json``:
 * ``store_delta`` — the per-batch incremental update kernel
   (``kernel.store_delta``) per backend x mixer, in ns/event
   (informational, no gate).
+* ``store_delta_sizes`` — ``kernel.store_delta`` at batch sizes 1, 2,
+  4, ..., 256, per mixer x backend, in ns per call (informational, no
+  gate).  Where the pure-Python row drops below the NumPy array path
+  is the crossover behind ``kernels.SCALAR_CUTOFF``; the NumPy row is
+  the kernel as dispatched (scalar below the cutoff) and the
+  ``numpy-array`` row forces the array path at every size.
 * ``end_to_end`` — a full checking session with all three schemes
   attached at once (the hash-heaviest realistic configuration: every
   store feeds two incremental schemes and every checkpoint pays a
@@ -163,6 +169,65 @@ def measure_store_delta(backends, repeats: int = REPEATS,
     return {"batch": batch, "calls": calls, "mixers": results}
 
 
+#: Batch sizes of the crossover sweep, and kernel calls timed per size.
+SWEEP_SIZES = tuple(2**k for k in range(9))
+SWEEP_CALLS = 200
+
+
+def _sweep_batch(n: int):
+    """Addresses, old and new values of an *n*-store window: mostly
+    wide ints with every fourth word a float, like the synthetic image."""
+    from repro.sim.values import MASK64
+
+    addresses = [(i * 2654435761 + 17) & MASK64 for i in range(n)]
+    old_values = [(i * 1.000001 + 0.5) if i % 4 == 0
+                  else (i * 0x9E3779B97F4A7C15 + 1) & MASK64
+                  for i in range(n)]
+    new_values = [v * 3.0 if isinstance(v, float) else v ^ 0xABCDEF
+                  for v in old_values]
+    return addresses, old_values, new_values
+
+
+def measure_store_delta_sizes(backends, repeats: int = REPEATS,
+                              sizes=SWEEP_SIZES,
+                              calls: int = SWEEP_CALLS) -> dict:
+    from repro.core.hashing import kernels
+    from repro.core.hashing.kernels import get_kernel
+    from repro.core.hashing.mixers import available_mixers, get_mixer
+
+    variants = [(backend, get_kernel(backend).store_delta)
+                for backend in backends]
+    if "numpy" in backends:
+        variants.append(("numpy-array",
+                         get_kernel("numpy")._array_store_delta))
+    results = {}
+    for mixer_name in available_mixers():
+        mixer = get_mixer(mixer_name)
+        rows = {name: {} for name, _ in variants}
+        for n in sizes:
+            addresses, old_values, new_values = _sweep_batch(n)
+            reference = None
+            for name, store_delta in variants:
+                def run(store_delta=store_delta):
+                    start = time.perf_counter()
+                    for _ in range(calls):
+                        run.total = store_delta(mixer, None, addresses,
+                                                old_values, new_values, None)
+                    return time.perf_counter() - start
+
+                best = _best(run, repeats)
+                if reference is None:
+                    reference = run.total
+                elif run.total != reference:
+                    raise AssertionError(
+                        f"store_delta differs between backends "
+                        f"({mixer_name}/{name}, n={n})")
+                rows[name][str(n)] = round(best / calls * 1e9, 1)
+        results[mixer_name] = rows
+    return {"sizes": list(sizes), "calls": calls, "unit": "ns_per_call",
+            "scalar_cutoff": kernels.SCALAR_CUTOFF, "mixers": results}
+
+
 def _ladder_config(backend: str):
     from repro.core.checker.runner import CheckConfig
     from repro.core.schemes.base import SchemeConfig
@@ -221,6 +286,7 @@ def measure(repeats: int = REPEATS) -> dict:
         "backends": list(backends),
         "traversal": measure_traversal(backends, repeats),
         "store_delta": measure_store_delta(backends, repeats),
+        "store_delta_sizes": measure_store_delta_sizes(backends, repeats),
         "end_to_end": measure_end_to_end(backends, repeats),
     }
 
@@ -279,6 +345,17 @@ def test_kernels_measurement_shape():
     assert traversal["backends"]["python"]["wall_s"] > 0
     delta = measure_store_delta(backends, repeats=1, batch=64, calls=2)
     assert delta["mixers"]["splitmix64"]["python"]["ns_per_event"] > 0
+    sweep = measure_store_delta_sizes(backends, repeats=1, sizes=(1, 2, 4),
+                                      calls=2)
+    assert sweep["sizes"] == [1, 2, 4] and sweep["unit"] == "ns_per_call"
+    expected_rows = set(backends) | ({"numpy-array"} if "numpy" in backends
+                                     else set())
+    for mixer_name in ("crc64", "splitmix64"):
+        rows = sweep["mixers"][mixer_name]
+        assert set(rows) == expected_rows
+        for row in rows.values():
+            assert set(row) == {"1", "2", "4"}
+            assert all(ns > 0 for ns in row.values())
     if "numpy" in backends:
         assert "speedup_vs_python" in traversal["backends"]["numpy"]
 

@@ -26,6 +26,14 @@ TYPE_PTR = "p"
 
 _VALID_TYPES = frozenset({TYPE_INT, TYPE_FLOAT, TYPE_PTR})
 
+#: Canonical quiet-NaN pattern every NaN hashes as.
+QNAN_BITS = 0x7FF8000000000000
+
+#: Precompiled binary64 <-> uint64 converters for the exact-type fast
+#: path of :func:`value_bits` (every store hashes through it).
+_pack_double = struct.Struct("<d").pack
+_unpack_u64 = struct.Struct("<Q").unpack
+
 
 def is_valid_type(tag: str) -> bool:
     """Return True if *tag* is one of the supported word type tags."""
@@ -40,7 +48,7 @@ def float_to_bits(value: float) -> int:
     operation produced (hardware FP units are free to vary payloads).
     """
     if math.isnan(value):
-        return 0x7FF8000000000000
+        return QNAN_BITS
     return struct.unpack("<Q", struct.pack("<d", value))[0]
 
 
@@ -58,8 +66,18 @@ def value_bits(value) -> int:
     """Canonical 64-bit bit pattern of a word value (int or float).
 
     This is the only place where the simulator decides how a Python value
-    maps onto the 64 wires feeding the hash unit.
+    maps onto the 64 wires feeding the hash unit.  Exact ``int`` and
+    ``float`` take a fast path; bools and subclasses (``IntEnum``
+    members, float subclasses) fall through to the ``isinstance`` chain,
+    which maps them to the same patterns.
     """
+    kind = type(value)
+    if kind is int:
+        return value & MASK64
+    if kind is float:
+        if value != value:  # NaN
+            return QNAN_BITS
+        return _unpack_u64(_pack_double(value))[0]
     if isinstance(value, bool):
         return int(value)
     if isinstance(value, int):

@@ -12,7 +12,10 @@ mixer × rounding-policy combination:
   deferred/batched delivery sound in the first place);
 * the NumPy backend is *bit-identical* to the pure-Python reference on
   adversarial values: 2^64-1 wraparound, negative zero, NaNs and
-  infinities through the FP round-off unit, denormals, decimal ties.
+  infinities through the FP round-off unit, denormals, decimal ties;
+* the NumPy backend's size dispatch is invisible: just below, at and
+  just above ``SCALAR_CUTOFF`` both backends agree, and the array path
+  is entered exactly from the cutoff up.
 
 Example counts follow the hypothesis profile registered in
 ``tests/conftest.py`` (``HYPOTHESIS_PROFILE=ci`` runs >= 200 per
@@ -21,6 +24,7 @@ property).
 
 import math
 import random
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -331,3 +335,86 @@ def test_numpy_kernel_handles_empty_batches():
     assert kernel.store_delta(mixer, None, [], [], []) == 0
     assert kernel.fold_terms([]) == 0
     assert kernel.location_terms(mixer, None, [], []) == []
+
+
+# -- the size dispatch at SCALAR_CUTOFF ------------------------------------------------
+
+CUTOFF = kernels.SCALAR_CUTOFF
+
+#: NaNs with non-canonical payloads and signs: both paths must hash
+#: every one of them as the canonical quiet NaN.
+NAN_PAYLOADS = [struct.unpack("<d", struct.pack("<Q", bits))[0] for bits in (
+    0x7FF8000000000099, 0x7FF0000000000001, 0xFFF8000000000000,
+    0xFFFFFFFFFFFFFFFF)]
+
+#: Words the two paths could disagree on at the boundary.
+EDGE_WORDS = [math.nan, *NAN_PAYLOADS, -0.0, math.inf, -math.inf, MASK64,
+              -1, -(2**63), -12345, True, False]
+
+edge_words = st.one_of(word_values, st.sampled_from(EDGE_WORDS))
+
+
+@st.composite
+def cutoff_windows(draw, size):
+    """A window of exactly *size* stores, plus its fp flags: those the
+    schemes derive, arbitrary ones (ints on the FP datapath), or None."""
+    addrs = draw(st.lists(addresses, min_size=size, max_size=size))
+    old = draw(st.lists(edge_words, min_size=size, max_size=size))
+    new = draw(st.lists(edge_words, min_size=size, max_size=size))
+    flags = draw(st.one_of(
+        st.just(fp_flags_of(new)), st.none(),
+        st.lists(st.booleans(), min_size=size, max_size=size)))
+    return addrs, old, new, flags
+
+
+@needs_numpy
+@pytest.mark.parametrize("size", [CUTOFF - 1, CUTOFF, CUTOFF + 1])
+@pytest.mark.parametrize("mixer_name", MIXERS)
+@given(data=st.data(), policy_key=policy_keys)
+def test_backends_bit_identical_around_cutoff(size, mixer_name, data,
+                                              policy_key):
+    """Both sides of the size dispatch agree with the reference, on
+    every operation, both mixers and rounding on and off."""
+    policy = POLICIES[policy_key]
+    addrs, old, new, flags = data.draw(cutoff_windows(size))
+    py, np_k = get_kernel("python"), get_kernel("numpy")
+    mixer = get_mixer(mixer_name)
+    assert (np_k.location_terms(mixer, policy, addrs, new, flags)
+            == py.location_terms(mixer, policy, addrs, new, flags))
+    assert (np_k.fold_locations(mixer, policy, addrs, old, flags)
+            == py.fold_locations(mixer, policy, addrs, old, flags))
+    assert (np_k.store_delta(mixer, policy, addrs, old, new, flags)
+            == py.store_delta(mixer, policy, addrs, old, new, flags))
+
+
+@needs_numpy
+@pytest.mark.parametrize("mixer_name", MIXERS)
+def test_array_path_engages_exactly_at_cutoff(monkeypatch, mixer_name):
+    """Below the cutoff no array kernel runs; at it, every operation
+    takes the array path."""
+    mixer = get_mixer(mixer_name)
+
+    def array_path(*args):
+        raise AssertionError("array path entered")
+
+    monkeypatch.setattr(mixer, "location_hash_batch", array_path)
+    monkeypatch.setattr(mixer, "store_delta_batch", array_path)
+    kernel = get_kernel("numpy")
+    policy = POLICIES["nearest3"]
+
+    def operations(n):
+        addrs = list(range(1, n + 1))
+        old = [float(i) + 0.25 for i in range(n)]
+        new = [i * 7 for i in range(n)]
+        flags = fp_flags_of(old)
+        return [
+            lambda: kernel.location_terms(mixer, policy, addrs, old, flags),
+            lambda: kernel.fold_locations(mixer, policy, addrs, old, flags),
+            lambda: kernel.store_delta(mixer, policy, addrs, old, new, flags),
+        ]
+
+    for op in operations(CUTOFF - 1):
+        op()
+    for op in operations(CUTOFF):
+        with pytest.raises(AssertionError, match="array path entered"):
+            op()

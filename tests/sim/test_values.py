@@ -1,5 +1,6 @@
 """Tests for typed 64-bit word values."""
 
+import enum
 import math
 
 import pytest
@@ -59,3 +60,69 @@ def test_words_equal_is_bitwise():
     assert not words_equal(1, 1.0)
     assert not words_equal(0.0, -0.0)
     assert words_equal(0, 0.0) == (float_to_bits(0.0) == 0)  # both zero bits
+
+
+# -- the exact-type fast path of value_bits -----------------------------------
+
+
+def reference_value_bits(value) -> int:
+    """``value_bits`` before its exact-type fast path: the isinstance
+    chain with format-string struct calls, kept here as the oracle."""
+    import struct
+
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return value & MASK64
+    if isinstance(value, float):
+        if math.isnan(value):
+            return 0x7FF8000000000000
+        return struct.unpack("<Q", struct.pack("<d", value))[0]
+    raise TypeError(f"word values must be int or float, got "
+                    f"{type(value).__name__}")
+
+
+class _Colour(enum.IntEnum):
+    RED = 3
+    HUGE = (1 << 64) + 5
+    NEGATIVE = -7
+
+
+class _Metres(float):
+    pass
+
+
+#: NaNs with payloads and signs a hardware FP unit might produce.
+NAN_PAYLOADS = [bits_to_float(bits) for bits in (
+    0x7FF8000000000000, 0x7FF8000000000099, 0x7FF0000000000001,
+    0xFFF8000000000000, 0xFFFFFFFFFFFFFFFF, 0x7FF4000000000000)]
+
+FAST_PATH_EDGES = [
+    True, False, _Colour.RED, _Colour.HUGE, _Colour.NEGATIVE,
+    _Metres(2.5), _Metres(-0.0), _Metres("nan"), _Metres("inf"),
+    *NAN_PAYLOADS, 0.0, -0.0, math.inf, -math.inf, 5e-324,
+    0, -1, MASK64, 1 << 64, (1 << 64) + 1, (1 << 200) - 3,
+    -(1 << 63), -(1 << 63) - 1, -(1 << 100),
+]
+
+
+@pytest.mark.parametrize("value", FAST_PATH_EDGES, ids=repr)
+def test_value_bits_fast_path_matches_reference(value):
+    assert value_bits(value) == reference_value_bits(value)
+    assert 0 <= value_bits(value) <= MASK64
+
+
+def test_value_bits_canonicalizes_every_nan_payload():
+    assert {value_bits(nan) for nan in NAN_PAYLOADS} == {0x7FF8000000000000}
+
+
+@given(value=st.one_of(st.integers(), st.floats(), st.booleans()))
+def test_value_bits_matches_reference_on_random_words(value):
+    assert value_bits(value) == reference_value_bits(value)
+
+
+@pytest.mark.parametrize("value", ["1.0", b"\x01", None, 1j, [1]],
+                         ids=repr)
+def test_value_bits_rejects_non_words(value):
+    with pytest.raises(TypeError, match="word values must be int or float"):
+        value_bits(value)
