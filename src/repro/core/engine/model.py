@@ -120,12 +120,12 @@ class CheckConfig:
     The instance is immutable all the way down: ``__post_init__``
     freezes ``schemes`` into a :class:`FrozenDict` and coerces
     ``ignores`` to a tuple, so a config captured by a running session
-    cannot be changed under it.  It also rejects what would otherwise
-    fail deep inside the first run — ``schemes`` that is not a mapping
-    of :class:`SchemeConfig` values, a scheduler, memory-model or
-    hash-backend name its registry does not know, or the ``numpy``
-    backend where numpy is not installed — with a
-    :class:`~repro.errors.CheckerError` (the CLI's usage exit code 3).
+    cannot be changed under it.  It also rejects what would fail later —
+    non-:class:`SchemeConfig` ``schemes``, a scheduler, memory-model,
+    hash-backend or executor name its registry does not know, ``numpy``
+    without numpy, ``workers`` not a positive int or ``"auto"``, ``dpor``
+    on a pool executor — with a :class:`~repro.errors.CheckerError` (the
+    CLI's usage exit code 3).
     """
 
     runs: int = 30
@@ -180,6 +180,17 @@ class CheckConfig:
                 registry.get(name)
             except registry.error as exc:
                 raise CheckerError(str(exc)) from None
+        from repro.core.engine.executors import EXECUTORS, resolve_workers
+
+        resolve_workers(self.workers)
+        if self.executor != "auto":
+            EXECUTORS.get(self.executor)
+            if (self.executor != "serial" and getattr(
+                    SCHEDULERS[self.scheduler], "systematic", False)):
+                raise CheckerError(
+                    f"scheduler {self.scheduler!r} is systematic and "
+                    f"requires the serial executor (got "
+                    f"{self.executor!r})")
         object.__setattr__(self, "schemes", FrozenDict(self.schemes))
         object.__setattr__(self, "ignores", tuple(self.ignores))
 

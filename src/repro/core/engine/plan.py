@@ -1,11 +1,12 @@
-"""Session planning: expand a config into concrete, executable runs.
+"""Session planning: validate a config and resolve how it runs.
 
 A :class:`SessionPlan` is the validated, fully-resolved form of a
-:class:`~repro.core.engine.model.CheckConfig`: one :class:`RunSpec` per
-scheduled run (index + schedule seed), the resolved worker topology,
-the retry policy, and factories for the session-scoped controller,
-runner, and wall-clock budget.  Executors consume the plan; they never
-re-derive anything from the raw config.
+:class:`~repro.core.engine.model.CheckConfig`: the resolved worker
+topology, the retry policy, and factories for the session-scoped
+controller, runner, and wall-clock budget.  Runs are just the indexes
+``range(config.runs)`` (:func:`~repro.core.engine.tasks.attempt_run`
+derives each seed), so planning costs the same at any ``runs`` —
+every pool worker task builds a plan.
 """
 
 from __future__ import annotations
@@ -21,31 +22,17 @@ from repro.sim.scheduler import SCHEDULERS, make_scheduler
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    """One scheduled run: its position and its schedule seed."""
-
-    index: int  # 0-based position in the session (= merge key)
-    seed: int   # base schedule seed (retries may re-seed from it)
-
-    @property
-    def run(self) -> int:
-        """The 1-based run number, as reports and telemetry label it."""
-        return self.index + 1
-
-
-@dataclass(frozen=True)
 class SessionPlan:
     """Everything the executors need to run one checking session."""
 
     program: Program
     config: CheckConfig
-    specs: tuple  # tuple[RunSpec, ...] in run order
     n_workers: int
 
     @classmethod
     def from_config(cls, program: Program, config: CheckConfig,
                     n_workers: int | None = None) -> SessionPlan:
-        """Validate *config* and expand it into a plan.
+        """Validate *config* and resolve it into a plan.
 
         *n_workers* overrides the config's ``workers`` knob when the
         caller already resolved it (the parallel facade does).
@@ -59,24 +46,12 @@ class SessionPlan:
             raise CheckerError(
                 f"judge_variant {config.judge_variant!r} is not produced by "
                 f"this session; configured variants: {config.variant_names()}")
-        if cls.scheduler_is_systematic(config):
-            # A systematic scheduler's exploration frontier lives in the
-            # one scheduler instance the serial executor reuses across
-            # runs; pool workers rebuild schedulers per run and would
-            # restart it every time.
-            if config.executor not in ("auto", "serial"):
-                raise CheckerError(
-                    f"scheduler {config.scheduler!r} is systematic and "
-                    f"requires the serial executor (got "
-                    f"{config.executor!r})")
-            n_workers = 1
+        if getattr(SCHEDULERS[config.scheduler], "systematic", False):
+            n_workers = 1  # CheckConfig rejects a pool executor for it
         if n_workers is None:
             n_workers = (resolve_workers(config.workers)
                          if config.workers != 1 else 1)
-        specs = tuple(RunSpec(index=i, seed=config.base_seed + i)
-                      for i in range(config.runs))
-        return cls(program=program, config=config, specs=specs,
-                   n_workers=n_workers)
+        return cls(program=program, config=config, n_workers=n_workers)
 
     @property
     def retry(self):
@@ -110,12 +85,6 @@ class SessionPlan:
                       max_steps=config.max_steps, telemetry=tele,
                       checkpoint_hook=checkpoint_hook,
                       memory_model=config.memory_model)
-
-    @staticmethod
-    def scheduler_is_systematic(config: CheckConfig) -> bool:
-        """Does this config name a frontier-carrying scheduler (DPOR)?"""
-        cls = SCHEDULERS.get(config.scheduler, None)
-        return bool(cls is not None and getattr(cls, "systematic", False))
 
     def new_budget(self) -> SessionBudget:
         """A freshly-armed wall-clock budget for one session execution."""

@@ -1,22 +1,24 @@
 """The process-pool executor: fan tasks across workers, stream results.
 
-Tasks are submitted in index order (FIFO start order is what makes
-early cancellation bit-identical — see :mod:`repro.core.engine.judge`);
-``cancel()`` revokes futures that have not started and *drains* the
-in-flight ones, so every run with an index below a folded divergence
-still completes.  A session deadline is different: expiry abandons
-in-flight work (``shutdown(wait=False)``) because a stuck worker must
-not hold the parent hostage.  A worker process that dies (segfault
-analog, OOM kill, ``os._exit``) breaks the pool; the pool is rebuilt
-once at full parallelism, and if it breaks again each unresolved task
-is retried in an isolated single-worker pool, so the crasher reveals
-itself and every innocent task still completes — never a hung pool.
+Tasks are submitted in index order (FIFO start order is what makes early
+cancellation bit-identical — see :mod:`repro.core.engine.judge`) through
+a window of :func:`submit_window` futures; ``cancel()`` revokes work
+that has not started and *drains* the in-flight runs, so every run with
+an index below a folded divergence still completes.  A session deadline
+is different: expiry abandons in-flight work (``shutdown(wait=False)``)
+because a stuck worker must not hold the parent hostage.  A worker
+process that dies (segfault analog, OOM kill, ``os._exit``) breaks the
+pool; the pool is rebuilt once at full parallelism, and if it breaks
+again each unresolved task is retried in an isolated single-worker pool,
+so the crasher reveals itself and every innocent task still completes —
+never a hung pool.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
+from collections import deque
+from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor, Future,
                                 ProcessPoolExecutor)
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures import wait
@@ -27,16 +29,45 @@ from repro.core.engine.heartbeat import _HEARTBEAT_QUEUE_SIZE, HeartbeatMonitor
 from repro.core.engine.tasks import _mp_context, _worker_init
 
 
-def _run_isolated(worker_fn, args, ctx, deadline):
-    """Re-run one task alone in a fresh single-worker pool.
+#: Futures a stream keeps submitted per worker.  Beyond the calls it
+#: runs, a pool moves up to ``n_workers + 1`` into its call queue, where
+#: they can no longer be cancelled; a larger window drains the same runs
+#: at a cancel as submitting the whole batch up front did.
+SUBMIT_WINDOW_PER_WORKER = 4
+
+
+def submit_window(n_workers: int) -> int:
+    """How many submitted, unresolved futures a pool stream keeps."""
+    return SUBMIT_WINDOW_PER_WORKER * max(1, n_workers)
+
+
+def submit_queued(executor, tasks: dict, queue: deque, room: int):
+    """Submit up to *room* queued indexes in order; yield (index, future).
+
+    A pool that broke since the caller last waited raises on submit: the
+    index then gets a future failed with that error, so the caller's
+    recovery requeues it with the rest of the unresolved work.
+    """
+    while queue and room > 0:
+        index = queue.popleft()
+        worker_fn, args = tasks[index]
+        try:
+            future = executor.submit(worker_fn, *args)
+        except BrokenExecutor as exc:
+            future = Future()
+            future.set_exception(exc)
+        room -= 1
+        yield index, future
+
+
+def _run_isolated(executor, worker_fn, args, deadline):
+    """Re-run one task alone in *executor*, a fresh single-worker pool.
 
     Used after a pool break: the parent cannot tell *which* worker died
     (every in-flight future raises ``BrokenProcessPool``), so each
     unresolved task is retried in isolation — the crasher reveals itself
     by breaking its private pool, everything else completes normally.
     """
-    executor = ProcessPoolExecutor(max_workers=1, mp_context=ctx,
-                                   initializer=_worker_init)
     value = _EXPIRED
     try:
         future = executor.submit(worker_fn, *args)
@@ -64,7 +95,8 @@ class ProcessPoolRunExecutor(RunExecutor):
     be picklable.  *deadline* is an absolute ``time.monotonic()`` value
     (or None): on expiry the stream ends with :attr:`expired` set and
     in-flight work is abandoned.  :meth:`cancel` is gentler — unstarted
-    futures are revoked, running ones are drained and still yielded.
+    futures and never-submitted indexes are revoked, running ones are
+    drained and still yielded.
     """
 
     name = "process-pool"
@@ -95,6 +127,8 @@ class ProcessPoolRunExecutor(RunExecutor):
         self.stall_after_s = stall_after_s
         self.monitor: HeartbeatMonitor | None = None
         self._pending: dict = {}  # future -> run index
+        self._queue: deque = deque()  # unsubmitted indexes, ascending
+        self._window = submit_window(n_workers)
 
     def _start_heartbeats(self, ctx) -> tuple:
         """Arm the heartbeat channel; returns the worker initargs."""
@@ -114,6 +148,15 @@ class ProcessPoolRunExecutor(RunExecutor):
             if future.cancel():
                 self.cancelled_count += 1
                 del self._pending[future]
+        queue = self._queue  # never submitted, so never started
+        while queue and (floor is None or queue[-1] > floor):
+            queue.pop()
+            self.cancelled_count += 1
+
+    def _top_up(self, executor, tasks: dict) -> None:
+        room = self._window - len(self._pending)
+        for index, future in submit_queued(executor, tasks, self._queue, room):
+            self._pending[future] = index
 
     def _make_pool(self, ctx, n_tasks: int, initargs) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
@@ -144,19 +187,19 @@ class ProcessPoolRunExecutor(RunExecutor):
         ctx = _mp_context()
         initargs = self._start_heartbeats(ctx)
         executor = self._make_pool(ctx, len(indexes), initargs)
-        pending = self._pending
+        pending, queue = self._pending, self._queue
         rebuilds_left = self.max_pool_rebuilds
+        # Submission order == index order: the pool starts tasks FIFO,
+        # the invariant early cancellation relies on.
+        queue.extend(indexes)
         try:
-            # Submission order == index order: the pool starts tasks
-            # FIFO, the invariant early cancellation relies on.
-            for index in indexes:
-                worker_fn, args = tasks[index]
-                pending[executor.submit(worker_fn, *args)] = index
             while True:
+                # Topped up only here, after the consumer folded the
+                # last result: nothing is submitted above a cancel.
+                self._top_up(executor, tasks)
                 if not pending:
-                    for index in self._requeue_indexes():
-                        worker_fn, args = tasks[index]
-                        pending[executor.submit(worker_fn, *args)] = index
+                    queue.extend(self._requeue_indexes())
+                    self._top_up(executor, tasks)
                     if not pending:
                         break
                 timeout = None
@@ -196,7 +239,9 @@ class ProcessPoolRunExecutor(RunExecutor):
                 # for the truncated verdict to stay bit-identical to
                 # the serial path.
                 unresolved.extend(pending.values())
+                unresolved.extend(queue)
                 pending.clear()
+                queue.clear()
                 executor.shutdown(wait=False, cancel_futures=True)
                 if rebuilds_left > 0:
                     # First recovery tier: respawn the workers once and
@@ -212,9 +257,7 @@ class ProcessPoolRunExecutor(RunExecutor):
                                              rebuilds_left=rebuilds_left)
                         self.telemetry.registry.counter("pool_rebuilds").inc()
                     executor = self._make_pool(ctx, len(unresolved), initargs)
-                    for index in sorted(unresolved):
-                        worker_fn, args = tasks[index]
-                        pending[executor.submit(worker_fn, *args)] = index
+                    queue.extend(sorted(unresolved))
                     continue
                 # Second tier: the rebuilt pool broke too — one of the
                 # remaining tasks kills any worker it touches.  Salvage
@@ -228,8 +271,9 @@ class ProcessPoolRunExecutor(RunExecutor):
                             self.expired = True
                             break
                         worker_fn, args = tasks[index]
-                        value = _run_isolated(worker_fn, args, ctx,
-                                              self.deadline)
+                        value = _run_isolated(
+                            self._make_pool(ctx, 1, initargs), worker_fn,
+                            args, self.deadline)
                         if value is _EXPIRED:
                             self.expired = True
                             break

@@ -450,17 +450,22 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
     def _make_pool(self, ctx, n_tasks: int, initargs):
         from concurrent.futures import ProcessPoolExecutor
 
+        workers = max(1, min(self.n_workers, n_tasks))
         if self.exchange is None:
-            # Lanes outlive pool rebuilds: size for every worker any
-            # recovery tier may spawn, plus slack for isolation pools.
-            workers = max(1, min(self.n_workers, n_tasks))
-            n_lanes = workers * (self.max_pool_rebuilds + 1) + 4
+            # Lanes outlive pool rebuilds: one per worker any rebuild
+            # may spawn, plus the last lane for single-worker pools.
+            n_lanes = workers * (self.max_pool_rebuilds + 1) + 1
             self.exchange = CheckpointExchange(
                 RingLayout(n_lanes=n_lanes, slots=self.slots))
             self._lane_counter = ctx.Value("l", 0)
+        if workers == 1:
+            # Pools never overlap (a new one starts once the last broke
+            # or shut down): single-worker ones, each isolation re-run
+            # included, reclaim the last lane instead of using one up.
+            self._lane_counter.value = self.exchange.layout.n_lanes - 1
         heartbeat = initargs[0] if initargs else None
         return ProcessPoolExecutor(
-            max_workers=max(1, min(self.n_workers, n_tasks)),
+            max_workers=workers,
             mp_context=ctx, initializer=_shmem_worker_init,
             initargs=(self.exchange.name, self.exchange.layout,
                       self._lane_counter, heartbeat))
@@ -499,12 +504,14 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
         floor = self._floor()
         if floor is None:
             return
-        # Revoke unstarted runs above the floor (remembered: they are
-        # resubmitted if reconciliation breaks the floor's premise).
+        # Revoke unstarted runs above the floor, queued ones included
+        # (remembered: resubmitted if reconciliation breaks the floor).
         for future, index in list(self._pending.items()):
             if index > floor and future.cancel():
                 del self._pending[future]
                 self._speculative.add(index)
+        while self._queue and self._queue[-1] > floor:
+            self._speculative.add(self._queue.pop())
         # Flag in-flight runs above the floor; stale flags for resolved
         # runs are inert (the flag carries the run index).
         for lane, snap in snaps:

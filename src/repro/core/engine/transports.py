@@ -33,7 +33,7 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from repro.core.engine import heartbeat as _heartbeat
 from repro.core.engine.executors import CRASHED, _EXPIRED
 from repro.core.engine.heartbeat import _HEARTBEAT_QUEUE_SIZE, HeartbeatMonitor
-from repro.core.engine.pool import _run_isolated
+from repro.core.engine.pool import _run_isolated, submit_queued, submit_window
 from repro.core.engine.tasks import _mp_context, _worker_init
 
 
@@ -122,10 +122,11 @@ class AsyncioLocalTransport(Transport):
     """A process pool scheduled with ``asyncio`` instead of blocking waits.
 
     Semantics mirror :class:`~repro.core.engine.pool.
-    ProcessPoolRunExecutor` exactly — FIFO submission in index order,
-    cancel-with-floor revoking only unstarted futures, deadline expiry
-    abandoning in-flight work, one pool rebuild then per-task isolation
-    salvage — so verdicts are bit-identical; only the waiting is async.
+    ProcessPoolRunExecutor` exactly — FIFO submission in index order
+    through the same bounded window, cancel-with-floor revoking only
+    unstarted work, deadline expiry abandoning in-flight work, one pool
+    rebuild then per-task isolation salvage — so verdicts are
+    bit-identical; only the waiting is async.
     """
 
     name = "asyncio-local"
@@ -148,6 +149,8 @@ class AsyncioLocalTransport(Transport):
         self.monitor: HeartbeatMonitor | None = None
         self._tasks: dict = {}
         self._pending: dict = {}  # asyncio future -> (concurrent future, index)
+        self._queue: collections.deque = collections.deque()  # unsubmitted
+        self._window = submit_window(n_workers)
         self._ready: collections.deque = collections.deque()
         self._salvage: list = []
         self._rebuilds_left = self.max_pool_rebuilds
@@ -170,11 +173,6 @@ class AsyncioLocalTransport(Transport):
             mp_context=self._ctx, initializer=_worker_init,
             initargs=self._initargs)
 
-    def _submit(self, index: int) -> None:
-        worker_fn, args = self._tasks[index]
-        cf = self._pool.submit(worker_fn, *args)
-        self._pending[asyncio.wrap_future(cf)] = (cf, index)
-
     async def start(self, tasks: dict) -> None:
         self._tasks = tasks
         if not tasks:
@@ -184,8 +182,7 @@ class AsyncioLocalTransport(Transport):
         self._pool = self._make_pool(len(tasks))
         # Submission order == index order: FIFO starts are the
         # invariant early cancellation relies on.
-        for index in sorted(tasks):
-            self._submit(index)
+        self._queue.extend(sorted(tasks))
 
     async def cancel(self, floor: int | None = None) -> None:
         await super().cancel(floor)
@@ -195,6 +192,10 @@ class AsyncioLocalTransport(Transport):
             if cf.cancel():
                 self.cancelled_count += 1
                 del self._pending[af]
+        queue = self._queue
+        while queue and (floor is None or queue[-1] > floor):
+            queue.pop()
+            self.cancelled_count += 1
 
     async def next_result(self):
         try:
@@ -213,6 +214,10 @@ class AsyncioLocalTransport(Transport):
                 return self._ready.popleft()
             if self._salvage:
                 return await self._salvage_next()
+            room = self._window - len(self._pending)
+            for index, cf in submit_queued(self._pool, self._tasks,
+                                           self._queue, room):
+                self._pending[asyncio.wrap_future(cf)] = (cf, index)
             if not self._pending:
                 return None
             timeout = None
@@ -244,7 +249,9 @@ class AsyncioLocalTransport(Transport):
     def _recover(self, unresolved: list) -> None:
         """The pool broke: rebuild once, then fall back to isolation."""
         unresolved.extend(index for _cf, index in self._pending.values())
+        unresolved.extend(self._queue)
         self._pending.clear()
+        self._queue.clear()
         self._pool.shutdown(wait=False, cancel_futures=True)
         if self._rebuilds_left > 0:
             self._rebuilds_left -= 1
@@ -255,8 +262,7 @@ class AsyncioLocalTransport(Transport):
                                      rebuilds_left=self._rebuilds_left)
                 self.telemetry.registry.counter("pool_rebuilds").inc()
             self._pool = self._make_pool(len(unresolved))
-            for index in sorted(unresolved):
-                self._submit(index)
+            self._queue.extend(sorted(unresolved))
         else:
             self._salvage = sorted(unresolved)
 
@@ -268,8 +274,8 @@ class AsyncioLocalTransport(Transport):
             self._salvage = []
             return None
         worker_fn, args = self._tasks[index]
-        value = await asyncio.to_thread(_run_isolated, worker_fn, args,
-                                        self._ctx, self.deadline)
+        value = await asyncio.to_thread(_run_isolated, self._make_pool(1),
+                                        worker_fn, args, self.deadline)
         if value is _EXPIRED:
             self.expired = True
             self._salvage = []

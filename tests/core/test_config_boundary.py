@@ -7,7 +7,9 @@ in ``Runner._run_body``, or ``ValueError: unknown hash backend``) or at
 planning with an exit code that blamed the infrastructure.
 Construction now raises :class:`CheckerError` with the registries'
 wording and typo suggestion, and the CLI maps it to the usage exit
-code 3.
+code 3.  The same holds for the executor backend name, the ``workers``
+knob, and a systematic scheduler on an explicit pool, which used to
+fail only at session start.
 """
 
 from __future__ import annotations
@@ -15,14 +17,17 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import cli
 from repro.core.checker.runner import check_determinism
+from repro.core.engine.executors import EXECUTORS
 from repro.core.engine.model import CheckConfig
 from repro.core.hashing import kernels
 from repro.core.hashing.kernels import AUTO_BACKEND, available_backends
 from repro.core.schemes.base import SchemeConfig
-from repro.errors import CheckerError
+from repro.errors import CheckerError, ReproError
 from repro.sim.memmodel import MEMORY_MODELS
 from repro.sim.scheduler import SCHEDULERS
 from tests._programs import Fig1Program
@@ -42,8 +47,23 @@ from tests._programs import Fig1Program
     ({"schemes": {"m": SchemeConfig(backend="nmupy")}},
      r"schemes\['m'\]: unknown hash backend 'nmupy' \(did you mean "
      r"'numpy'\?\); available: \['numpy', 'python'\]"),
+    ({"executor": "proces-pool"},
+     r"unknown executor backend 'proces-pool' \(did you mean "
+     r"'process-pool'\?\); available: \['asyncio-local', 'process-pool', "
+     r"'process-pool-shmem', 'serial', 'socket'\]"),
+    ({"workers": 0}, r"workers must be >= 1, got 0"),
+    ({"workers": True},
+     r"workers must be a positive int or 'auto', got True"),
+    ({"workers": 2.0},
+     r"workers must be a positive int or 'auto', got 2.0"),
+    ({"workers": "all"},
+     r"workers must be a positive int or 'auto', got 'all'"),
+    ({"scheduler": "dpor", "executor": "process-pool"},
+     r"scheduler 'dpor' is systematic and requires the serial executor "
+     r"\(got 'process-pool'\)"),
 ], ids=["schemes-tuple", "scheme-value", "scheduler", "memory-model",
-        "hash-backend"])
+        "hash-backend", "executor", "workers-zero", "workers-bool",
+        "workers-float", "workers-str", "dpor-on-pool"])
 def test_bad_config_rejected_at_construction(kwargs, match):
     with pytest.raises(CheckerError, match=match):
         CheckConfig(**kwargs)
@@ -56,6 +76,47 @@ def test_replace_and_overrides_revalidate():
     # from inside Runner._run_body.
     with pytest.raises(CheckerError, match="schemes must map"):
         check_determinism(Fig1Program(), runs=2, schemes=("hw",))
+
+
+@pytest.mark.parametrize("override, match", [
+    ({"executor": "proces-pool"}, "unknown executor backend 'proces-pool'"),
+    ({"workers": -1}, "workers must be >= 1, got -1"),
+    ({"scheduler": "dpor", "executor": "asyncio-local", "workers": 2},
+     "requires the serial executor"),
+], ids=["executor", "workers", "dpor-on-pool"])
+def test_session_overrides_rejected_before_any_run(override, match):
+    """The ``check_determinism`` override path validates at
+    construction too, before the planner or an executor sees it."""
+    with pytest.raises(CheckerError, match=match):
+        check_determinism(Fig1Program(), runs=2, **override)
+
+
+def test_valid_executor_and_workers_accepted():
+    CheckConfig(scheduler="dpor", executor="serial")
+    CheckConfig(scheduler="dpor", workers="auto")
+    for name in EXECUTORS:
+        CheckConfig(executor=name, workers="auto")
+
+
+def _name_or_junk(names):
+    return st.one_of(st.sampled_from(sorted(names)), st.text(max_size=12))
+
+
+@given(scheduler=_name_or_junk(SCHEDULERS),
+       memory_model=_name_or_junk(MEMORY_MODELS),
+       executor=_name_or_junk([*EXECUTORS, "auto"]),
+       workers=st.one_of(st.integers(-3, 64),
+                         st.sampled_from(["auto", "all", True, False, 2.0,
+                                          None, (2,)])))
+def test_malformed_config_fails_only_with_checker_error(
+        scheduler, memory_model, executor, workers):
+    """Whatever reaches the validated fields, construction either
+    succeeds or raises ``CheckerError`` — never another exception."""
+    try:
+        CheckConfig(scheduler=scheduler, memory_model=memory_model,
+                    executor=executor, workers=workers)
+    except ReproError as exc:
+        assert isinstance(exc, CheckerError)
 
 
 def test_every_registered_name_accepted():
@@ -88,7 +149,13 @@ def test_unknown_backend_never_reaches_a_run():
 @pytest.mark.parametrize("override, match", [
     ({"scheduler": "rnadom"}, "unknown scheduler 'rnadom'"),
     ({"memory_model": "tzo"}, "unknown memory model 'tzo'"),
-], ids=["scheduler", "memory-model"])
+    ({"executor": "proces-pool"},
+     "unknown executor backend 'proces-pool' (did you mean "
+     "'process-pool'?)"),
+    ({"workers": 0}, "workers must be >= 1, got 0"),
+    ({"scheduler": "dpor", "executor": "process-pool-shmem"},
+     "scheduler 'dpor' is systematic and requires the serial executor"),
+], ids=["scheduler", "memory-model", "executor", "workers", "dpor-on-pool"])
 def test_cli_reports_bad_config_as_usage_error(monkeypatch, capsys,
                                                override, match):
     """argparse's ``choices`` catch a mistyped flag; a bad name that

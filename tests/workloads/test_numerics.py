@@ -8,8 +8,9 @@ deterministic only because it computes nothing meaningful.
 
 import math
 
-import numpy as np
 import pytest
+
+np = pytest.importorskip("numpy")
 
 from repro.core.control.controller import InstantCheckControl
 from repro.sim.program import Runner
@@ -42,7 +43,7 @@ def test_fft_matches_numpy():
 
 
 def test_lu_factors_reconstruct_matrix():
-    import scipy.linalg
+    scipy_linalg = pytest.importorskip("scipy.linalg")
 
     program = Lu(n_workers=4, n=16, block=4)
     runner = run_once(program)
@@ -60,14 +61,14 @@ def test_lu_factors_reconstruct_matrix():
     np.testing.assert_allclose(lower @ upper, a, rtol=1e-9)
     # And agree with scipy's unpivoted checkable route: P should be I
     # for this diagonally dominant matrix under partial pivoting.
-    p, l_ref, u_ref = scipy.linalg.lu(a)
+    p, l_ref, u_ref = scipy_linalg.lu(a)
     np.testing.assert_allclose(p, np.eye(n), atol=1e-12)
     np.testing.assert_allclose(lower, l_ref, rtol=1e-9)
     np.testing.assert_allclose(upper, u_ref, rtol=1e-9)
 
 
 def test_blackscholes_against_closed_form():
-    from scipy.stats import norm
+    norm = pytest.importorskip("scipy.stats").norm
 
     program = Blackscholes(n_workers=4, n_options=16, passes=3)
     runner = run_once(program)
