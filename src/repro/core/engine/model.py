@@ -188,9 +188,8 @@ class CheckConfig:
             if (self.executor != "serial" and getattr(
                     SCHEDULERS[self.scheduler], "systematic", False)):
                 raise CheckerError(
-                    f"scheduler {self.scheduler!r} is systematic and "
-                    f"requires the serial executor (got "
-                    f"{self.executor!r})")
+                    f"scheduler {self.scheduler!r} is systematic and requires "
+                    f"the serial executor (got {self.executor!r})")
         object.__setattr__(self, "schemes", FrozenDict(self.schemes))
         object.__setattr__(self, "ignores", tuple(self.ignores))
 

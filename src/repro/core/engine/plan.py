@@ -3,10 +3,9 @@
 A :class:`SessionPlan` is the validated, fully-resolved form of a
 :class:`~repro.core.engine.model.CheckConfig`: the resolved worker
 topology, the retry policy, and factories for the session-scoped
-controller, runner, and wall-clock budget.  Runs are just the indexes
+controller, runner, and wall-clock budget.  Runs are the indexes
 ``range(config.runs)`` (:func:`~repro.core.engine.tasks.attempt_run`
-derives each seed), so planning costs the same at any ``runs`` —
-every pool worker task builds a plan.
+derives each seed): every pool task builds a plan, at any ``runs``.
 """
 
 from __future__ import annotations

@@ -1,17 +1,16 @@
 """The process-pool executor: fan tasks across workers, stream results.
 
-Tasks are submitted in index order (FIFO start order is what makes early
-cancellation bit-identical — see :mod:`repro.core.engine.judge`) through
-a window of :func:`submit_window` futures; ``cancel()`` revokes work
-that has not started and *drains* the in-flight runs, so every run with
-an index below a folded divergence still completes.  A session deadline
+Tasks are submitted in index order through a window of
+:func:`submit_window` futures (FIFO starts make early cancellation
+bit-identical — see :mod:`repro.core.engine.judge`); ``cancel()``
+revokes work that has not started and *drains* the in-flight runs, so
+every run below a folded divergence still completes.  A session deadline
 is different: expiry abandons in-flight work (``shutdown(wait=False)``)
 because a stuck worker must not hold the parent hostage.  A worker
 process that dies (segfault analog, OOM kill, ``os._exit``) breaks the
 pool; the pool is rebuilt once at full parallelism, and if it breaks
 again each unresolved task is retried in an isolated single-worker pool,
-so the crasher reveals itself and every innocent task still completes —
-never a hung pool.
+so the crasher reveals itself and every innocent task still completes.
 """
 
 from __future__ import annotations
@@ -29,10 +28,9 @@ from repro.core.engine.heartbeat import _HEARTBEAT_QUEUE_SIZE, HeartbeatMonitor
 from repro.core.engine.tasks import _mp_context, _worker_init
 
 
-#: Futures a stream keeps submitted per worker.  Beyond the calls it
-#: runs, a pool moves up to ``n_workers + 1`` into its call queue, where
-#: they can no longer be cancelled; a larger window drains the same runs
-#: at a cancel as submitting the whole batch up front did.
+#: Futures a stream keeps submitted per worker.  A pool moves up to
+#: ``n_workers + 1`` beyond those it runs into its call queue, past
+#: cancellation; a larger window drains the same runs at a cancel.
 SUBMIT_WINDOW_PER_WORKER = 4
 
 
@@ -41,13 +39,15 @@ def submit_window(n_workers: int) -> int:
     return SUBMIT_WINDOW_PER_WORKER * max(1, n_workers)
 
 
-def submit_queued(executor, tasks: dict, queue: deque, room: int):
-    """Submit up to *room* queued indexes in order; yield (index, future).
+def submit_queued(executor, tasks: dict, queue: deque, pending: dict,
+                  window: int):
+    """Submit queued indexes in order while *pending* holds fewer than
+    *window*; yield each (index, future) for the caller to record.
 
-    A pool that broke since the caller last waited raises on submit: the
-    index then gets a future failed with that error, so the caller's
-    recovery requeues it with the rest of the unresolved work.
+    A pool broken since the caller last waited raises on submit; that
+    index gets a future failed with the error, so recovery requeues it.
     """
+    room = window - len(pending)
     while queue and room > 0:
         index = queue.popleft()
         worker_fn, args = tasks[index]
@@ -60,7 +60,30 @@ def submit_queued(executor, tasks: dict, queue: deque, room: int):
         yield index, future
 
 
-def _run_isolated(executor, worker_fn, args, deadline):
+def drop_queued_above(queue: deque, floor: int | None) -> list:
+    """Pop the never-submitted indexes above *floor* (all if None)."""
+    dropped = []
+    while queue and (floor is None or queue[-1] > floor):
+        dropped.append(queue.pop())
+    return dropped
+
+
+def arm_heartbeats(owner, ctx) -> tuple:
+    """Arm a fresh heartbeat channel for *owner*'s next pool; returns the
+    worker initargs.  Re-armed after each worker death: a killed worker
+    can die holding the queue's write lock, silencing later workers."""
+    if owner.telemetry is None:
+        return ()
+    if owner.monitor is not None:
+        owner.monitor.stop()
+    beat_queue = ctx.Queue(maxsize=_HEARTBEAT_QUEUE_SIZE)
+    owner.monitor = HeartbeatMonitor(owner.telemetry, beat_queue,
+                                     stall_after_s=owner.stall_after_s)
+    owner.monitor.start()
+    return ((beat_queue, owner.heartbeat_interval_s),)
+
+
+def _run_isolated(executor, task, deadline):
     """Re-run one task alone in *executor*, a fresh single-worker pool.
 
     Used after a pool break: the parent cannot tell *which* worker died
@@ -70,6 +93,7 @@ def _run_isolated(executor, worker_fn, args, deadline):
     """
     value = _EXPIRED
     try:
+        worker_fn, args = task
         future = executor.submit(worker_fn, *args)
         timeout = None
         if deadline is not None:
@@ -95,8 +119,7 @@ class ProcessPoolRunExecutor(RunExecutor):
     be picklable.  *deadline* is an absolute ``time.monotonic()`` value
     (or None): on expiry the stream ends with :attr:`expired` set and
     in-flight work is abandoned.  :meth:`cancel` is gentler — unstarted
-    futures and never-submitted indexes are revoked, running ones are
-    drained and still yielded.
+    work is revoked, running tasks are drained and still yielded.
     """
 
     name = "process-pool"
@@ -130,16 +153,6 @@ class ProcessPoolRunExecutor(RunExecutor):
         self._queue: deque = deque()  # unsubmitted indexes, ascending
         self._window = submit_window(n_workers)
 
-    def _start_heartbeats(self, ctx) -> tuple:
-        """Arm the heartbeat channel; returns the worker initargs."""
-        if self.telemetry is None:
-            return ()
-        beat_queue = ctx.Queue(maxsize=_HEARTBEAT_QUEUE_SIZE)
-        self.monitor = HeartbeatMonitor(self.telemetry, beat_queue,
-                                        stall_after_s=self.stall_after_s)
-        self.monitor.start()
-        return ((beat_queue, self.heartbeat_interval_s),)
-
     def cancel(self, floor: int | None = None) -> None:
         super().cancel(floor)
         for future, index in list(self._pending.items()):
@@ -148,14 +161,11 @@ class ProcessPoolRunExecutor(RunExecutor):
             if future.cancel():
                 self.cancelled_count += 1
                 del self._pending[future]
-        queue = self._queue  # never submitted, so never started
-        while queue and (floor is None or queue[-1] > floor):
-            queue.pop()
-            self.cancelled_count += 1
+        self.cancelled_count += len(drop_queued_above(self._queue, floor))
 
     def _top_up(self, executor, tasks: dict) -> None:
-        room = self._window - len(self._pending)
-        for index, future in submit_queued(executor, tasks, self._queue, room):
+        for index, future in submit_queued(executor, tasks, self._queue,
+                                           self._pending, self._window):
             self._pending[future] = index
 
     def _make_pool(self, ctx, n_tasks: int, initargs) -> ProcessPoolExecutor:
@@ -185,7 +195,7 @@ class ProcessPoolRunExecutor(RunExecutor):
         if not indexes:
             return
         ctx = _mp_context()
-        initargs = self._start_heartbeats(ctx)
+        initargs = arm_heartbeats(self, ctx)
         executor = self._make_pool(ctx, len(indexes), initargs)
         pending, queue = self._pending, self._queue
         rebuilds_left = self.max_pool_rebuilds
@@ -194,8 +204,7 @@ class ProcessPoolRunExecutor(RunExecutor):
         queue.extend(indexes)
         try:
             while True:
-                # Topped up only here, after the consumer folded the
-                # last result: nothing is submitted above a cancel.
+                # Only once the last result is folded: never above a cancel.
                 self._top_up(executor, tasks)
                 if not pending:
                     queue.extend(self._requeue_indexes())
@@ -256,6 +265,7 @@ class ProcessPoolRunExecutor(RunExecutor):
                                              requeued=len(unresolved),
                                              rebuilds_left=rebuilds_left)
                         self.telemetry.registry.counter("pool_rebuilds").inc()
+                    initargs = arm_heartbeats(self, ctx)
                     executor = self._make_pool(ctx, len(unresolved), initargs)
                     queue.extend(sorted(unresolved))
                     continue
@@ -270,13 +280,14 @@ class ProcessPoolRunExecutor(RunExecutor):
                                 and time.monotonic() >= self.deadline):
                             self.expired = True
                             break
-                        worker_fn, args = tasks[index]
                         value = _run_isolated(
-                            self._make_pool(ctx, 1, initargs), worker_fn,
-                            args, self.deadline)
+                            self._make_pool(ctx, 1, initargs), tasks[index],
+                            self.deadline)
                         if value is _EXPIRED:
                             self.expired = True
                             break
+                        if value is CRASHED:
+                            initargs = arm_heartbeats(self, ctx)
                         yield index, self._note_result(index, value)
                     else:
                         salvage_queue = sorted(self._requeue_indexes())

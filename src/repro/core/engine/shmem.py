@@ -69,6 +69,7 @@ from repro.core.engine.executors import (CRASHED, EXECUTORS,
                                          _worker_init, note_worker_progress,
                                          session_run_worker,
                                          telemetry_payload)
+from repro.core.engine.pool import drop_queued_above
 
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -459,9 +460,8 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
                 RingLayout(n_lanes=n_lanes, slots=self.slots))
             self._lane_counter = ctx.Value("l", 0)
         if workers == 1:
-            # Pools never overlap (a new one starts once the last broke
-            # or shut down): single-worker ones, each isolation re-run
-            # included, reclaim the last lane instead of using one up.
+            # Pools never overlap, so single-worker ones (isolation
+            # re-runs) reclaim the last lane instead of using one up.
             self._lane_counter.value = self.exchange.layout.n_lanes - 1
         heartbeat = initargs[0] if initargs else None
         return ProcessPoolExecutor(
@@ -510,8 +510,7 @@ class ShmemPoolRunExecutor(ProcessPoolRunExecutor):
             if index > floor and future.cancel():
                 del self._pending[future]
                 self._speculative.add(index)
-        while self._queue and self._queue[-1] > floor:
-            self._speculative.add(self._queue.pop())
+        self._speculative.update(drop_queued_above(self._queue, floor))
         # Flag in-flight runs above the floor; stale flags for resolved
         # runs are inert (the flag carries the run index).
         for lane, snap in snaps:

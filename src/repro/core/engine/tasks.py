@@ -91,8 +91,7 @@ def _worker_init(heartbeat=None) -> None:
     journal._OWNED_FDS.clear()
     if heartbeat is not None:
         beat_queue, interval_s = heartbeat
-        # Beats are fire-and-forget: never wait on the feeder at exit (it
-        # blocks forever if a killed worker died holding the write lock).
+        # Fire-and-forget: a killed worker may have orphaned the lock.
         beat_queue.cancel_join_thread()
         _HB_STATE.update(runs=0, checkpoints=0,
                          last_progress=time.monotonic())

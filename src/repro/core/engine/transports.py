@@ -32,8 +32,10 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 
 from repro.core.engine import heartbeat as _heartbeat
 from repro.core.engine.executors import CRASHED, _EXPIRED
-from repro.core.engine.heartbeat import _HEARTBEAT_QUEUE_SIZE, HeartbeatMonitor
-from repro.core.engine.pool import _run_isolated, submit_queued, submit_window
+from repro.core.engine.heartbeat import HeartbeatMonitor
+from repro.core.engine.pool import (_run_isolated, arm_heartbeats,
+                                    drop_queued_above, submit_queued,
+                                    submit_window)
 from repro.core.engine.tasks import _mp_context, _worker_init
 
 
@@ -158,15 +160,6 @@ class AsyncioLocalTransport(Transport):
         self._ctx = None
         self._initargs = ()
 
-    def _start_heartbeats(self) -> tuple:
-        if self.telemetry is None:
-            return ()
-        beat_queue = self._ctx.Queue(maxsize=_HEARTBEAT_QUEUE_SIZE)
-        self.monitor = HeartbeatMonitor(self.telemetry, beat_queue,
-                                        stall_after_s=self.stall_after_s)
-        self.monitor.start()
-        return ((beat_queue, self.heartbeat_interval_s),)
-
     def _make_pool(self, n_tasks: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=max(1, min(self.n_workers, n_tasks)),
@@ -178,7 +171,7 @@ class AsyncioLocalTransport(Transport):
         if not tasks:
             return
         self._ctx = _mp_context()
-        self._initargs = self._start_heartbeats()
+        self._initargs = arm_heartbeats(self, self._ctx)
         self._pool = self._make_pool(len(tasks))
         # Submission order == index order: FIFO starts are the
         # invariant early cancellation relies on.
@@ -192,10 +185,7 @@ class AsyncioLocalTransport(Transport):
             if cf.cancel():
                 self.cancelled_count += 1
                 del self._pending[af]
-        queue = self._queue
-        while queue and (floor is None or queue[-1] > floor):
-            queue.pop()
-            self.cancelled_count += 1
+        self.cancelled_count += len(drop_queued_above(self._queue, floor))
 
     async def next_result(self):
         try:
@@ -214,9 +204,8 @@ class AsyncioLocalTransport(Transport):
                 return self._ready.popleft()
             if self._salvage:
                 return await self._salvage_next()
-            room = self._window - len(self._pending)
-            for index, cf in submit_queued(self._pool, self._tasks,
-                                           self._queue, room):
+            for index, cf in submit_queued(self._pool, self._tasks, self._queue,
+                                           self._pending, self._window):
                 self._pending[asyncio.wrap_future(cf)] = (cf, index)
             if not self._pending:
                 return None
@@ -261,6 +250,7 @@ class AsyncioLocalTransport(Transport):
                                      requeued=len(unresolved),
                                      rebuilds_left=self._rebuilds_left)
                 self.telemetry.registry.counter("pool_rebuilds").inc()
+            self._initargs = arm_heartbeats(self, self._ctx)
             self._pool = self._make_pool(len(unresolved))
             self._queue.extend(sorted(unresolved))
         else:
@@ -273,13 +263,14 @@ class AsyncioLocalTransport(Transport):
             self.expired = True
             self._salvage = []
             return None
-        worker_fn, args = self._tasks[index]
         value = await asyncio.to_thread(_run_isolated, self._make_pool(1),
-                                        worker_fn, args, self.deadline)
+                                        self._tasks[index], self.deadline)
         if value is _EXPIRED:
             self.expired = True
             self._salvage = []
             return None
+        if value is CRASHED:
+            self._initargs = arm_heartbeats(self, self._ctx)
         return index, value
 
     async def close(self) -> None:

@@ -10,6 +10,7 @@ import pytest
 from repro.core.checker.runner import check_determinism
 from repro.core.engine.executors import (HeartbeatMonitor,
                                          ProcessPoolRunExecutor)
+from repro.core.engine.pool import arm_heartbeats
 from repro.telemetry import MemorySink, Telemetry
 
 from _programs import Fig1Program
@@ -116,7 +117,7 @@ class TestPoolIntegration:
     def test_disabled_telemetry_arms_no_heartbeat_channel(self):
         executor = ProcessPoolRunExecutor(2, telemetry=Telemetry())
         assert executor.telemetry is None
-        assert executor._start_heartbeats(None) == ()
+        assert arm_heartbeats(executor, None) == ()
         assert executor.monitor is None
 
 

@@ -22,6 +22,7 @@ import pytest
 from repro.core import failpoints
 from repro.core.checker.runner import CheckConfig, check_determinism
 from repro.core.checker.serialize import result_to_dict
+from repro.core.engine.heartbeat import HeartbeatMonitor
 from repro.core.engine.plan import SessionPlan
 from repro.core.engine.pool import submit_queued, submit_window
 from repro.core.engine.tasks import _mp_context, _worker_init
@@ -151,7 +152,7 @@ def test_submit_into_a_broken_pool_fails_the_future_instead_of_raising():
 
     queue = deque([3, 4, 5])
     tasks = {i: (print, (i,)) for i in queue}
-    out = list(submit_queued(Broken(), tasks, queue, room=2))
+    out = list(submit_queued(Broken(), tasks, queue, {}, window=2))
     assert [index for index, _ in out] == [3, 4]
     assert all(isinstance(f.exception(), BrokenExecutor) for _, f in out)
     assert list(queue) == [5]
@@ -177,6 +178,37 @@ def test_worker_exit_never_waits_on_an_orphaned_heartbeat_lock():
         beat_queue._wlock.release()  # unstick a hung worker, if any
         pool.shutdown(wait=True)
         beat_queue.close()
+
+
+@pytest.mark.parametrize("executor", POOLS)
+def test_a_pool_break_rearms_the_heartbeat_channel(executor, monkeypatch):
+    """A worker killed while its feeder held the beat queue's write lock
+    silences every later worker on that queue, so each pool built after
+    a worker death beats on a fresh queue under a fresh monitor."""
+    monitors = []
+    start = HeartbeatMonitor.start
+
+    def recording_start(self):
+        if not monitors:
+            self.queue._wlock.acquire()  # as a worker killed mid-beat
+        monitors.append(self)
+        return start(self)
+
+    monkeypatch.setattr(HeartbeatMonitor, "start", recording_start)
+    tele = Telemetry(MemorySink())
+    failpoints.activate(FailpointPlan.parse("worker.run.before=kill@every:2"))
+    try:
+        result = _hunt(executor, runs=3 * submit_window(WORKERS),
+                       stop_on_first=False, telemetry=tele)
+    finally:
+        failpoints.deactivate()
+        if monitors:
+            monitors[0].queue._wlock.release()
+    assert not result.failures
+    assert len(monitors) >= 2
+    assert len({id(m.queue) for m in monitors}) == len(monitors)
+    # Only workers of the pools built after the break could beat.
+    assert _events(tele, "worker_heartbeat")
 
 
 def test_isolation_reruns_publish_through_the_shmem_lanes():

@@ -1,4 +1,4 @@
-"""Numeric correctness of the workload kernels against numpy/scipy.
+"""Numeric correctness of the workload kernels against numpy.
 
 The workloads are scaled-down but *real* kernels: the FFT must be an
 FFT, the LU an LU, Black–Scholes a Black–Scholes.  Checking them against
@@ -43,8 +43,6 @@ def test_fft_matches_numpy():
 
 
 def test_lu_factors_reconstruct_matrix():
-    scipy_linalg = pytest.importorskip("scipy.linalg")
-
     program = Lu(n_workers=4, n=16, block=4)
     runner = run_once(program)
     n = program.n
@@ -59,17 +57,17 @@ def test_lu_factors_reconstruct_matrix():
     lower = np.tril(factored, -1) + np.eye(n)
     upper = np.triu(factored)
     np.testing.assert_allclose(lower @ upper, a, rtol=1e-9)
-    # And agree with scipy's unpivoted checkable route: P should be I
-    # for this diagonally dominant matrix under partial pivoting.
-    p, l_ref, u_ref = scipy_linalg.lu(a)
-    np.testing.assert_allclose(p, np.eye(n), atol=1e-12)
-    np.testing.assert_allclose(lower, l_ref, rtol=1e-9)
-    np.testing.assert_allclose(upper, u_ref, rtol=1e-9)
+    # And match what partial pivoting would compute: with no multiplier
+    # above 1 in magnitude it swaps no rows (P = I), and LU factors are
+    # unique, so L and U are exactly the pivoted reference's.
+    assert np.abs(lower).max() <= 1.0
+
+
+def normal_cdf(x):
+    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
 def test_blackscholes_against_closed_form():
-    norm = pytest.importorskip("scipy.stats").norm
-
     program = Blackscholes(n_workers=4, n_options=16, passes=3)
     runner = run_once(program)
     prices = heap_array(runner, "bs.c:prices", 16)
@@ -81,8 +79,8 @@ def test_blackscholes_against_closed_form():
         d1 = ((math.log(spot / strike) + (rate + vol**2 / 2) * t)
               / (vol * math.sqrt(t)))
         d2 = d1 - vol * math.sqrt(t)
-        reference = (spot * norm.cdf(d1)
-                     - strike * math.exp(-rate * t) * norm.cdf(d2))
+        reference = (spot * normal_cdf(d1)
+                     - strike * math.exp(-rate * t) * normal_cdf(d2))
         assert prices[i] == pytest.approx(reference, rel=1e-9)
     # Prices are sane: nonnegative, below spot.
     assert (prices >= 0).all()
