@@ -26,7 +26,10 @@ serial executor, because pool workers rebuild schedulers per run and
 would restart the frontier every time.
 
 Dependence is computed from *footprints* — the shared-object read/write
-sets of each executed op (:func:`op_footprint`).  Store-buffer drains
+sets of each executed op (:func:`op_footprint`), folded per *scheduling
+block* (the ops one actor runs between two decisions) into one mutable
+set as the ops arrive, and frozen once when the block closes; the race
+analysis after the run reads the finished blocks.  Store-buffer drains
 (:mod:`repro.sim.memmodel`) appear as scheduling actors with write
 footprints, so under ``tso``/``pso`` the *reorderings themselves* are
 branch points and DPOR steers straight into the delayed-visibility
@@ -44,6 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.errors import SchedulerError
 from repro.sim.context import Op
 from repro.sim.scheduler import SCHEDULERS, DecisionScheduler, Scheduler
 
@@ -55,6 +59,15 @@ from repro.sim.scheduler import SCHEDULERS, DecisionScheduler, Scheduler
 STATE = ("state",)
 
 READ, WRITE = "R", "W"
+
+#: The per-op kinds whose footprint :class:`DporScheduler` memoizes, and
+#: how many leading op args it depends on.  The memo key adds the kind
+#: and the actor; a memo holds for one memory-model class.
+_MEMO_ARGS = {"load": 1, "read_old": 1, "store": 1, "drain": 2}
+
+#: The :meth:`DporScheduler.export_frontier` format :meth:`import_frontier`
+#: reads.
+FRONTIER_VERSION = 2
 
 
 def _sync_object(obj) -> tuple:
@@ -162,15 +175,10 @@ def op_footprint(actor: int, op: Op | None, runner) -> frozenset:
 
 def dependent(a: frozenset, b: frozenset) -> bool:
     """Do two footprints conflict (shared object, at least one write)?"""
-    if not a or not b:
-        return False
-    objs_b = {}
-    for obj, typ in b:
-        objs_b[obj] = WRITE if (typ == WRITE or objs_b.get(obj) == WRITE) \
-            else READ
+    if len(a) > len(b):
+        a, b = b, a
     for obj, typ in a:
-        other = objs_b.get(obj)
-        if other is not None and (typ == WRITE or other == WRITE):
+        if (obj, WRITE) in b or (typ == WRITE and (obj, READ) in b):
             return True
     return False
 
@@ -251,13 +259,17 @@ class _Node:
     block: a drain independent of a thread's *next* op may still
     conflict with a later op of the same block).  ``None`` stands for
     an unknown block and wakes on any nonempty footprint.
+
+    ``block`` holds those footprints, one per actor explored here, each
+    written when the actor's block closes (at the run's next decision or
+    its end) and unioned over the runs that replayed it.
     """
 
     chosen: int
     enabled: tuple
     done: set = field(default_factory=set)
     backtrack: set = field(default_factory=set)
-    block: dict = field(default_factory=dict)  # actor -> explored block fp
+    block: dict = field(default_factory=dict)  # actor -> closed block fp
     sleep0: dict = field(default_factory=dict)        # sleep set on entry
     branch_sleep: dict = field(default_factory=dict)  # sleep at branch start
 
@@ -290,11 +302,16 @@ class DporScheduler(Scheduler):
         self.exhausted = False
         self.budget_exhausted = False
         self._pending_analysis = False
+        self._footprints: dict = {}  # see _MEMO_ARGS
+        self._memo_model = None
         self._reset_run_state()
 
     def _reset_run_state(self) -> None:
-        self._trace: list = []           # [(actor, footprint)]
-        self._node_of_step: list = []    # step index -> stack index
+        self._trace: list = []           # [(actor, footprint)] per op
+        self._blocks: list = []          # [(actor, footprint, node)]
+        self._block_node = None          # node of the open block, if any
+        self._block_actor = None
+        self._block_fp: set = set()      # the open block's footprint
         self._depth = 0                  # choose() calls this run
         self._current_node = -1
         self._sleep: dict = {}           # actor -> remembered block fp
@@ -308,6 +325,11 @@ class DporScheduler(Scheduler):
         """The runtime hands us its runner so footprints can inspect
         pending ops and drain queues."""
         self._runner = runner
+        machine = getattr(runner, "machine", None)
+        model = type(machine.memory_model if machine is not None else None)
+        if model is not self._memo_model:
+            self._memo_model = model
+            self._footprints = {}
 
     def begin_run(self, seed: int) -> None:
         self._flush_analysis()
@@ -360,20 +382,57 @@ class DporScheduler(Scheduler):
         """The runtime reports each executed step (threads and drains)."""
         if self._frozen or self._blocked:
             return
-        footprint = op_footprint(actor, op, self._runner)
+        n_args = _MEMO_ARGS.get(op.kind) if op is not None else None
+        if n_args is None:
+            footprint = op_footprint(actor, op, self._runner)
+        else:
+            key = (op.kind, actor, op.args[:n_args])
+            footprint = self._footprints.get(key)
+            if footprint is None:
+                footprint = self._footprints[key] = op_footprint(
+                    actor, op, self._runner)
         self._trace.append((actor, footprint))
-        self._node_of_step.append(self._current_node)
-        if 0 <= self._current_node < len(self._stack):
-            # Remember the block this actor executed at its decision
-            # node — sleep sets at sibling branches wake on it.
-            node = self._stack[self._current_node]
-            node.block[actor] = node.block.get(actor, frozenset()) | footprint
-        for sleeper, blockfp in list(self._sleep.items()):
-            if sleeper == actor:
-                del self._sleep[sleeper]
-            elif footprint and (blockfp is None
-                                or dependent(footprint, blockfp)):
-                del self._sleep[sleeper]
+        if self._current_node != self._block_node:
+            # A decision opened a new block: the run's next event.
+            self._close_block()
+            self._block_node = self._current_node
+            self._block_actor = actor
+            self._block_fp = set(footprint)
+        elif footprint:
+            self._block_fp |= footprint
+        sleep = self._sleep
+        if sleep:
+            sleep.pop(actor, None)
+            if footprint and sleep:
+                for sleeper in [s for s, blockfp in sleep.items()
+                                if blockfp is None
+                                or dependent(footprint, blockfp)]:
+                    del sleep[sleeper]
+
+    def _close_block(self) -> None:
+        """Freeze the open block into the run's block list and remember
+        it at its decision node — sleep sets at sibling branches wake on
+        it.
+
+        The analysis must work at the granularity the scheduler can
+        actually branch on: one event per decision node, its footprint
+        the union of the ops the quantum executed.  Op-level events
+        would let an actor's *first* op masquerade as an initial of a
+        reversing sequence whose remainder its own block then tramples
+        (e.g. a block ``load x; store r1`` looks movable before a
+        ``r1``-queue drain if only the load is consulted).
+        """
+        node_index = self._block_node
+        if node_index is None:
+            return
+        self._block_node = None
+        actor = self._block_actor
+        footprint = frozenset(self._block_fp)
+        self._blocks.append((actor, footprint, node_index))
+        if 0 <= node_index < len(self._stack):
+            block = self._stack[node_index].block
+            old = block.get(actor)
+            block[actor] = footprint if old is None else old | footprint
 
     # -- exploration bookkeeping ----------------------------------------------
 
@@ -395,33 +454,13 @@ class DporScheduler(Scheduler):
         return not self.exhausted and self.runs_started < self.max_runs
 
     def _flush_analysis(self) -> None:
+        self._close_block()
         if not self._pending_analysis:
             return
         self._pending_analysis = False
         if not self._inconsistent:
-            self._blocks = self._block_trace()
             self._analyze_races()
         self._advance_frontier()
-
-    def _block_trace(self) -> list:
-        """The run's trace aggregated into scheduling blocks.
-
-        The analysis must work at the granularity the scheduler can
-        actually branch on: one event per decision node, its footprint
-        the union of the ops the quantum executed.  Op-level events
-        would let an actor's *first* op masquerade as an initial of a
-        reversing sequence whose remainder its own block then tramples
-        (e.g. a block ``load x; store r1`` looks movable before a
-        ``r1``-queue drain if only the load is consulted).
-        """
-        blocks: list = []  # [(actor, footprint, node index), ...]
-        for step, (actor, footprint) in enumerate(self._trace):
-            node = self._node_of_step[step]
-            if blocks and blocks[-1][2] == node:
-                blocks[-1] = (actor, blocks[-1][1] | footprint, node)
-            else:
-                blocks.append((actor, footprint, node))
-        return blocks
 
     def _analyze_races(self) -> None:
         """Fold the finished run's races into the backtrack sets.
@@ -430,32 +469,36 @@ class DporScheduler(Scheduler):
         causal past) give happens-before; for each block *j*, every
         dependent, unordered earlier block *i* is a *race*, and
         :meth:`_schedule_reversal` queues a branch that reverses it.
+        A read can race only with a write, so it scans the object's
+        write history alone.
         """
-        trace = [(actor, footprint) for actor, footprint, _node
-                 in self._blocks]
+        blocks = self._blocks
         clocks: dict[int, dict] = {}
         step_clock: list[dict] = []
-        last_write: dict = {}   # object -> (step, actor)
-        readers: dict = {}      # object -> [(step, actor), ...]
-        history: dict = {}      # object -> [(step, actor, type), ...]
-        for j, (p, footprint) in enumerate(trace):
+        last_write: dict = {}   # object -> block
+        readers: dict = {}      # object -> [block, ...]
+        accesses: dict = {}     # object -> [block, ...]
+        writes: dict = {}       # object -> [block, ...], writes only
+        for j, (p, footprint, _node) in enumerate(blocks):
             pre = clocks.get(p, {})
-            clock = dict(pre)
-            merges = []
+            merges: set = set()
             racing: set = set()
             for obj, typ in footprint:
                 writer = last_write.get(obj)
                 if writer is not None:
-                    merges.append(writer[0])
+                    merges.add(writer)
                 if typ == WRITE:
-                    for (i, _q) in readers.get(obj, ()):
-                        merges.append(i)
-                for (i, q, other_typ) in history.get(obj, ()):
-                    if q != p and (typ == WRITE or other_typ == WRITE):
+                    merges.update(readers.get(obj, ()))
+                    history = accesses.get(obj, ())
+                else:
+                    history = writes.get(obj, ())
+                for i in history:
+                    if blocks[i][0] != p:
                         racing.add(i)
             for i in sorted(racing):
-                if pre.get(trace[i][0], -1) < i:  # unordered only
+                if pre.get(blocks[i][0], -1) < i:  # unordered only
                     self._schedule_reversal(i, j, step_clock)
+            clock = dict(pre)
             for i in merges:
                 for actor, idx in step_clock[i].items():
                     if clock.get(actor, -1) < idx:
@@ -465,11 +508,12 @@ class DporScheduler(Scheduler):
             step_clock.append(clock)
             for obj, typ in footprint:
                 if typ == WRITE:
-                    last_write[obj] = (j, p)
+                    last_write[obj] = j
                     readers[obj] = []
+                    writes.setdefault(obj, []).append(j)
                 else:
-                    readers.setdefault(obj, []).append((j, p))
-                history.setdefault(obj, []).append((j, p, typ))
+                    readers.setdefault(obj, []).append(j)
+                accesses.setdefault(obj, []).append(j)
 
     def _schedule_reversal(self, i: int, j: int, step_clock: list) -> None:
         """Queue a branch at *i*'s node that reverses the race *(i, j)*.
@@ -556,7 +600,7 @@ class DporScheduler(Scheduler):
         """The exploration state as plain JSON-serializable data."""
         self._flush_analysis()
         return {
-            "version": 2,
+            "version": FRONTIER_VERSION,
             "runs_started": self.runs_started,
             "exhausted": self.exhausted,
             "budget_exhausted": self.budget_exhausted,
@@ -572,20 +616,66 @@ class DporScheduler(Scheduler):
         }
 
     def import_frontier(self, state: dict) -> None:
-        """Resume a previously exported exploration frontier."""
-        self.runs_started = int(state.get("runs_started", 0))
+        """Resume a previously exported exploration frontier.
+
+        A state of another ``version``, or whose stack is not a list of
+        nodes with integer ``chosen``, ``enabled``, ``done`` and
+        ``backtrack``, raises :class:`~repro.errors.SchedulerError` and
+        leaves this scheduler unchanged.
+        """
+        version = state.get("version") if isinstance(state, dict) else None
+        if version != FRONTIER_VERSION:
+            raise SchedulerError(
+                f"unsupported DPOR frontier version {version!r} "
+                f"(expected {FRONTIER_VERSION})")
+        stack = state.get("stack", [])
+        if not isinstance(stack, list):
+            raise SchedulerError("DPOR frontier stack is not a list of nodes")
+        nodes = [_node_from_json(index, item)
+                 for index, item in enumerate(stack)]
+        try:
+            runs_started = int(state.get("runs_started", 0))
+        except (TypeError, ValueError):
+            raise SchedulerError(
+                f"DPOR frontier runs_started "
+                f"{state.get('runs_started')!r} is not an integer") from None
+        self.runs_started = runs_started
         self.exhausted = bool(state.get("exhausted", False))
         self.budget_exhausted = bool(state.get("budget_exhausted", False))
-        self._stack = [
-            _Node(chosen=item["chosen"], enabled=tuple(item["enabled"]),
-                  done=set(item["done"]), backtrack=set(item["backtrack"]),
-                  block=_sleep_from_json(item.get("block", ())),
-                  sleep0=_sleep_from_json(item.get("sleep0", ())),
-                  branch_sleep=_sleep_from_json(item.get("branch_sleep", ())))
-            for item in state.get("stack", ())]
+        self._stack = nodes
         self._forced = [node.chosen for node in self._stack]
         self._pending_analysis = False
         self._reset_run_state()
+
+
+_NODE_KEYS = ("chosen", "enabled", "done", "backtrack")
+
+
+def _node_from_json(index: int, item) -> _Node:
+    """One exported stack node; :class:`SchedulerError` if malformed."""
+    if not isinstance(item, dict) or any(k not in item for k in _NODE_KEYS):
+        raise SchedulerError(
+            f"DPOR frontier stack[{index}] is not a node with "
+            f"{', '.join(_NODE_KEYS)}")
+    chosen, enabled, done, backtrack = (item[k] for k in _NODE_KEYS)
+    if type(chosen) is not int or not all(
+            isinstance(actors, list)
+            and all(type(actor) is int for actor in actors)
+            for actors in (enabled, done, backtrack)):
+        raise SchedulerError(
+            f"DPOR frontier stack[{index}] has an actor that is not an "
+            f"integer (or an actor set that is not a list)")
+    try:
+        block, sleep0, branch_sleep = (
+            _sleep_from_json(item.get(key, ()))
+            for key in ("block", "sleep0", "branch_sleep"))
+    except (TypeError, ValueError) as exc:
+        raise SchedulerError(
+            f"DPOR frontier stack[{index}] has a malformed footprint: "
+            f"{exc}") from None
+    return _Node(chosen=chosen, enabled=tuple(enabled), done=set(done),
+                 backtrack=set(backtrack), block=block, sleep0=sleep0,
+                 branch_sleep=branch_sleep)
 
 
 class TracingDecisionScheduler(DecisionScheduler):

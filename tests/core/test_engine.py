@@ -19,6 +19,7 @@ from repro.core.engine import (OUTCOME_CRASH_DIVERGENCE,
                                CheckConfig, FrozenDict, Judge, SessionPlan,
                                classify_outcome, execute_session)
 from repro.core.checker.runner import check_determinism
+from repro.core.engine.executors import resolve_executor
 from repro.errors import CheckerError
 from repro.sim.faults import make_fault
 from repro.telemetry import MemorySink, Telemetry
@@ -197,7 +198,8 @@ def test_stop_on_first_pool_emits_session_cancelled():
               if e.get("t") == "event" and e["name"] == "session_cancelled"]
     assert len(events) == 1
     event = events[0]
-    assert event["backend"] == "process-pool"
+    # "auto" resolves through $REPRO_EXECUTOR, which CI cells vary.
+    assert event["backend"] == resolve_executor("auto", 2)
     assert event["completed"] >= 2
     assert event["completed"] + event["failed"] <= 12
     snapshot = tele.registry.snapshot()

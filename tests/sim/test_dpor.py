@@ -16,7 +16,7 @@ import pytest
 from repro.apps.systematic import _next_vector
 from repro.core.checker.runner import check_determinism
 from repro.core.schemes.base import SchemeConfig
-from repro.errors import CheckerError
+from repro.errors import CheckerError, ReproError, SchedulerError
 from repro.sim.dpor import (DporScheduler, TracingDecisionScheduler,
                             dependent, mazurkiewicz_key, op_footprint)
 from repro.sim.program import Runner
@@ -217,6 +217,79 @@ def test_max_runs_budget_freezes_exploration():
     assert first.hashes() == runner.run(seed=2).hashes()
 
 
+def _bounded_frontier() -> dict:
+    """A JSON round-tripped frontier after two runs of a PSO program."""
+    scheduler = DporScheduler()
+    runner = Runner(SbVisibleLate(n_workers=2), scheme_factory=SCHEMES,
+                    scheduler=scheduler, memory_model="pso")
+    for seed in range(2):
+        runner.run(seed=seed)
+    return json.loads(json.dumps(scheduler.export_frontier()))
+
+
+def test_frontier_round_trip_resumes_identically():
+    state = _bounded_frontier()
+    resumed = DporScheduler()
+    resumed.import_frontier(state)
+    assert resumed.export_frontier() == state
+    again = DporScheduler()
+    again.import_frontier(json.loads(json.dumps(resumed.export_frontier())))
+    assert (dpor_explore(SbVisibleLate(n_workers=2), "pso",
+                         scheduler=resumed)
+            == dpor_explore(SbVisibleLate(n_workers=2), "pso",
+                            scheduler=again))
+
+
+def _mangle(state: dict, path: tuple, value) -> dict:
+    state = json.loads(json.dumps(state))
+    target = state
+    for key in path[:-1]:
+        target = target[key]
+    if value is _DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return state
+
+
+_DELETE = object()
+
+MALFORMED_FRONTIERS = {
+    "unknown-version": (("version",), 99),
+    "no-version": (("version",), _DELETE),
+    "stack-not-a-list": (("stack",), {"0": {}}),
+    "node-not-an-object": (("stack", 0), [1, [1], [1], []]),
+    "node-without-chosen": (("stack", 0, "chosen"), _DELETE),
+    "node-without-enabled": (("stack", 0, "enabled"), _DELETE),
+    "node-without-done": (("stack", 0, "done"), _DELETE),
+    "node-without-backtrack": (("stack", 0, "backtrack"), _DELETE),
+    "chosen-not-an-int": (("stack", 0, "chosen"), "1"),
+    "enabled-not-a-list": (("stack", 0, "enabled"), 3),
+    "actor-not-an-int": (("stack", 0, "done"), [None]),
+    "footprint-not-pairs": (("stack", 0, "block"), [[1, [5]]]),
+    "sleep-not-pairs": (("stack", 0, "sleep0"), [7]),
+    "runs-started-not-an-int": (("runs_started",), "two"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_FRONTIERS))
+def test_import_frontier_rejects_malformed_state(case):
+    path, value = MALFORMED_FRONTIERS[case]
+    state = _bounded_frontier()
+    assert state["stack"], "the fixture frontier has a node to mangle"
+    scheduler = DporScheduler()
+    before = scheduler.export_frontier()
+    with pytest.raises(SchedulerError) as info:
+        scheduler.import_frontier(_mangle(state, path, value))
+    assert isinstance(info.value, ReproError)
+    assert scheduler.export_frontier() == before
+
+
+def test_import_frontier_rejects_a_non_mapping():
+    with pytest.raises(SchedulerError, match="version"):
+        DporScheduler().import_frontier([2, []])
+
+
 # -- engine integration ------------------------------------------------------------
 
 
@@ -332,3 +405,28 @@ def test_pso_footprints_key_buffer_objects_per_location():
     t_drain = op_footprint(-1, Op("drain", (1, 7)), tso)
     assert (("buf", 1), "W") in t_drain
     assert dependent(t_drain, op_footprint(-2, Op("drain", (1, 8)), tso))
+
+
+def test_footprint_memo_follows_the_memory_model_class():
+    """The per-op footprint memo keys stores and drains by thread and
+    address only, so it must not outlive the memory-model class: a
+    TSO store's per-thread queue object is wrong under PSO."""
+    from types import SimpleNamespace
+
+    from repro.sim.context import Op
+    from repro.sim.memmodel import make_memory_model
+
+    scheduler = DporScheduler()
+    ops = [(1, Op("store", (7, 42, False, None))), (-1, Op("drain", (1, 7))),
+           (1, Op("load", (7,)))]
+    # The machine holds no model under SC.
+    for memory_model in (make_memory_model("tso"), make_memory_model("pso"),
+                         None, make_memory_model("tso")):
+        runner = SimpleNamespace(
+            machine=SimpleNamespace(memory_model=memory_model),
+            fence_drained=())
+        scheduler.bind_runner(runner)
+        for actor, op in ops:
+            scheduler.observe_step(actor, op)
+            assert scheduler.last_trace[-1] == (
+                actor, op_footprint(actor, op, runner))
